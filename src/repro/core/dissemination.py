@@ -13,6 +13,11 @@ three atomic procedures:
 * :meth:`DisseminationComponent.round_tick` — the periodic task
   executed every ``delta`` time units.
 
+:meth:`DisseminationComponent.receive_entries` is ``upon receive BALL``
+for a ball of bare ``(ts, source, seq, ttl)`` metadata (lazy mode's
+id-balls); it performs the same merge without building an entry object
+per received tuple.
+
 One deliberate refinement relative to the pseudocode: Algorithm 1
 guards the *whole* round body — including the ``orderEvents`` call —
 behind ``nextBall != empty``. Read literally, a process that stops
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .clock import StabilityOracle
 from .config import EpToConfig
@@ -39,6 +44,7 @@ from .event import (
     EventId,
     EventIdGenerator,
     EventRecord,
+    IdEntry,
     make_ball,
 )
 from .interfaces import PeerSampler, Transport
@@ -51,11 +57,17 @@ from .interfaces import PeerSampler, Transport
 #: sizes: what the UDP fabric *would* have shipped.
 ENTRY_METADATA_BYTES = 32
 
+#: ``len(json.dumps(None).encode())``: the payload bytes of a
+#: payload-less (metadata) event, the common case in lazy mode.
+NULL_PAYLOAD_BYTES = 4
+
 
 def payload_nbytes(payload: Any) -> int:
     """Estimated wire bytes of one event payload (JSON, as the codec
     ships it); non-JSON payloads fall back to their ``repr`` length so
     simulation-only object payloads still account as *something*."""
+    if payload is None:
+        return NULL_PAYLOAD_BYTES
     try:
         return len(json.dumps(payload).encode())
     except (TypeError, ValueError):
@@ -187,6 +199,49 @@ class DisseminationComponent:
                     next_ball[entry.event.id] = EventRecord(entry.event, entry.ttl)
             if self._clock_needs_updates:
                 self.oracle.update_clock(entry.event.ts)
+
+    def receive_entries(self, entries: Sequence[IdEntry]) -> None:
+        """Handle an incoming metadata ball (Algorithm 1 lines 11–19).
+
+        *entries* are ``(ts, source, seq, ttl)`` tuples. The outcome —
+        ``nextBall``, stats and clock — is exactly that of
+        :meth:`receive_ball` on the same entries inflated to payload-less
+        events: expired entries are dropped, a queued id keeps the
+        largest TTL whatever the copy's ``ts``, and logical clocks see
+        every entry's ``ts``. The difference is cost: an
+        :class:`~repro.core.event.Event` is built only when an id first
+        enters ``nextBall``, and no :class:`~repro.core.event.BallEntry`
+        at all, so duplicates (most of what a process hears) cost a
+        dict lookup.
+
+        Raises:
+            ValueError: on a negative TTL, as ``BallEntry`` does. Entries
+                before it in *entries* have already been merged.
+        """
+        stats = self.stats
+        stats.balls_received += 1
+        stats.entries_received += len(entries)
+        ttl_bound = self.config.ttl
+        next_ball = self._next_ball
+        update_clock = self.oracle.update_clock if self._clock_needs_updates else None
+        expired = 0
+        for ts, source, seq, ttl in entries:
+            if ttl >= ttl_bound:
+                expired += 1
+            elif ttl < 0:
+                raise ValueError(f"negative ttl {ttl} for event {(source, seq)}")
+            else:
+                event_id = (source, seq)
+                record = next_ball.get(event_id)
+                if record is None:
+                    next_ball[event_id] = EventRecord(Event(event_id, ts, source), ttl)
+                elif ttl > record.ttl:
+                    # EventRecord.merge_ttl, inlined: all but ~1/K of
+                    # the entries land here.
+                    record.ttl = ttl
+            if update_clock is not None:
+                update_clock(ts)
+        stats.entries_expired += expired
 
     def round_tick(self) -> None:
         """Execute one relay round (Algorithm 1 lines 20–28).

@@ -35,6 +35,10 @@ EventId = tuple[int, int]
 #: Total-order sort key: ``(timestamp, source_id, per-source sequence)``.
 OrderKey = tuple[int, int, int]
 
+#: One ball entry as bare metadata: ``(ts, source_id, seq, ttl)`` — what
+#: lazy mode ships instead of a :class:`BallEntry`.
+IdEntry = tuple[int, int, int, int]
+
 
 @dataclass(frozen=True, slots=True)
 class Event:

@@ -7,10 +7,13 @@ and changes only what crosses the network:
 * outgoing balls are stripped to :class:`~repro.lazy.protocol.IdBall`
   metadata by a transport adapter — the dissemination component never
   notices;
-* incoming id-balls are inflated to payload-less balls and fed to the
-  ordinary ``on_ball`` path, so the ordering component orders metadata
-  exactly as it would order full events (the order key is
-  ``(ts, source_id, seq)``; payloads never influence it);
+* incoming id-balls go to the dissemination component's metadata
+  ingress (:meth:`~repro.core.dissemination.DisseminationComponent.receive_entries`),
+  which merges the ``(ts, source, seq, ttl)`` tuples into ``nextBall``
+  exactly as ``receive_ball`` would merge payload-less events, but
+  builds an event only for ids new to the round. The ordering component
+  then orders metadata exactly as it would order full events (the order
+  key is ``(ts, source_id, seq)``; payloads never influence it);
 * payloads travel exactly once per node through the
   :class:`~repro.lazy.pull.PullManager` /
   :class:`~repro.lazy.store.PayloadStore` pair;
@@ -45,7 +48,7 @@ from .protocol import (
     PayloadRequest,
     PayloadResponse,
     ball_to_id_ball,
-    id_ball_to_meta_ball,
+    id_ball_to_meta_ball,  # noqa: F401 - perfbench/tracing.py wraps it here
 )
 from .pull import PullManager
 from .store import PayloadStore
@@ -254,7 +257,7 @@ class LazyEpToProcess:
                 # The relayer advertises first; the source is the
                 # fallback of last resort (it always held the payload).
                 self.pull.want(event_id, advertisers=(src, source))
-        self.process.on_ball(id_ball_to_meta_ball(id_ball))
+        self.process.dissemination.receive_entries(id_ball.entries)
 
     def on_payload_request(self, src: int, request: PayloadRequest) -> None:
         """Serve a pull: full events for held ids, ``missing`` for the

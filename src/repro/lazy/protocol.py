@@ -28,10 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.event import Ball, BallEntry, Event, EventId, make_ball
-
-#: One metadata entry: ``(ts, source, seq, ttl)``.
-IdEntry = Tuple[int, int, int, int]
+from ..core.event import Ball, BallEntry, Event, EventId, IdEntry, make_ball
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +75,11 @@ def id_ball_to_meta_ball(id_ball: IdBall) -> Ball:
     The resulting events carry ``payload=None``; the ordering component
     orders them by ``(ts, source_id, seq)`` exactly as it would the full
     events, which is why metadata alone drives ordering.
+
+    The receive path does not use this: it hands the tuples straight to
+    :meth:`~repro.core.dissemination.DisseminationComponent.receive_entries`,
+    which builds an event only for ids new to the round. This function
+    is the reference that path is tested against.
     """
     return make_ball(
         BallEntry(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.core import EpToConfig
-from repro.core.dissemination import DisseminationComponent
+from repro.core.dissemination import DisseminationComponent, payload_nbytes
 from repro.core.event import BallEntry, make_ball
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler, make_event
@@ -184,3 +185,16 @@ class TestStats:
         assert stats.entries_received == 1
         assert stats.balls_sent == 2
         assert stats.rounds == 1
+
+
+class TestPayloadBytes:
+    def test_none_fast_path_is_the_json_size(self):
+        assert payload_nbytes(None) == len(json.dumps(None).encode())
+
+    @pytest.mark.parametrize("payload", [0, "", "x" * 40, {"k": [1, 2]}, False])
+    def test_other_payloads_are_json_encoded(self, payload):
+        assert payload_nbytes(payload) == len(json.dumps(payload).encode())
+
+    def test_non_json_payload_falls_back_to_repr(self):
+        payload = object()
+        assert payload_nbytes(payload) == len(repr(payload).encode())

@@ -32,7 +32,7 @@ from ..faults.schedule import (
     LossBurst,
     PartitionNetwork,
 )
-from ..faults.sim_injector import SimFaultInjector
+from ..faults.injector import SimFaultInjector
 from ..sim.churn import ChurnDriver
 from ..sim.cluster import ClusterConfig, SimCluster
 from ..sim.drift import NoDrift, UniformDrift

@@ -1,4 +1,5 @@
-"""Minimal protocols the EpTO core needs from its runtime environment.
+"""Minimal protocols the EpTO core needs from its runtime environment,
+plus :class:`FaultableNetwork`, the link-fault base of every fabric.
 
 The algorithm in :mod:`repro.core` is runtime-agnostic: it never
 schedules timers, opens sockets, or samples randomness directly.
@@ -10,8 +11,9 @@ provides these two capabilities and drives the process by calling
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import ClassVar, Dict, Optional, Protocol, Sequence, runtime_checkable
 
+from .errors import MembershipError
 from .event import Ball
 
 
@@ -58,26 +60,58 @@ class FanoutTransport(Protocol):
         ...
 
 
-@runtime_checkable
-class FaultableNetwork(Protocol):
-    """A network fabric that supports partition fault injection.
+class FaultableNetwork:
+    """Link-fault state every network fabric inherits: partition
+    groups and the adversary slot (a
+    :class:`repro.faults.byzantine.ByzantineRouter` or ``None``).
 
-    Both the simulated network (:class:`repro.sim.network.SimNetwork`)
-    and the asyncio fabrics (:class:`repro.runtime.transport.AsyncNetwork`,
-    :class:`repro.runtime.udp.UdpNetwork`) expose this surface, which is
-    what lets one declarative fault schedule
-    (:class:`repro.faults.schedule.FaultSchedule`) drive any of them.
-    Partition labels are opaque: only same-group nodes can communicate,
-    and nodes absent from the mapping share the implicit ``None`` group.
+    Send paths read ``_partitioned`` / ``_partition`` / ``_adversary``
+    as plain attributes, so the shared state costs nothing per message.
     """
 
-    def set_partition(self, groups: dict) -> None:
-        """Split the network; only same-group nodes can talk."""
-        ...
+    __slots__ = ("_partition", "_partitioned", "_adversary")
+
+    #: Why this fabric refuses hostile-behavior routers; ``None`` when
+    #: it accepts them.
+    adversary_refusal: ClassVar[Optional[str]] = None
+
+    def __init__(self) -> None:
+        # Mutated in place, never rebound: the flat engine holds a
+        # reference to this dict across a whole run() call.
+        self._partition: Dict[int, object] = {}
+        self._partitioned = False
+        self._adversary = None
+
+    def set_partition(self, groups: Dict[int, object]) -> None:
+        """Partition the network: only same-group nodes can talk.
+
+        Args:
+            groups: Mapping from node id to an arbitrary group label.
+                Nodes absent from the mapping share the implicit
+                ``None`` group.
+        """
+        labels = dict(groups)
+        self._partition.clear()
+        self._partition.update(labels)
+        self._partitioned = True
 
     def heal_partition(self) -> None:
-        """Restore full connectivity."""
-        ...
+        """Remove any partition; full connectivity is restored."""
+        self._partition.clear()
+        self._partitioned = False
+
+    def _crosses_partition(self, src: int, dst: int) -> bool:
+        if not self._partitioned:
+            return False
+        return self._partition.get(src) != self._partition.get(dst)
+
+    def set_adversary(self, router) -> None:
+        """Install a hostile-behavior router (see
+        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
+        its hostile nodes are transformed per destination."""
+        if self.adversary_refusal is not None:
+            raise MembershipError(self.adversary_refusal)
+        self._adversary = router
 
 
 @runtime_checkable

@@ -304,7 +304,7 @@ async def _cluster_run(
 
     injector_task = None
     if schedule is not None:
-        from ..faults.runtime_injector import AsyncFaultInjector
+        from ..faults.injector import AsyncFaultInjector
 
         injector = AsyncFaultInjector(cluster, schedule, seed=seed)
         injector_task = asyncio.create_task(injector.run())

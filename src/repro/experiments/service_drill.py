@@ -194,31 +194,6 @@ class ServiceDrillResult:
         return "\n".join(lines)
 
 
-def _timeline(
-    plans: List[TopicSchedule],
-) -> List[Tuple[float, int, str, Any]]:
-    """Flatten the per-topic schedules into (round, topic, op, action)."""
-    steps: List[Tuple[float, int, str, Any]] = []
-    for plan in plans:
-        for action in plan.schedule:
-            steps.append((action.at_round, plan.topic, action.kind, action))
-            if isinstance(action, PartitionNetwork) and action.heal_after:
-                steps.append(
-                    (action.at_round + action.heal_after, plan.topic, "heal", None)
-                )
-            if isinstance(action, CrashNodes) and action.recover_after:
-                steps.append(
-                    (
-                        action.at_round + action.recover_after,
-                        plan.topic,
-                        "respawn",
-                        action,
-                    )
-                )
-    steps.sort(key=lambda step: step[0])
-    return steps
-
-
 async def _drive(
     cluster: ServiceCluster,
     plans: List[TopicSchedule],
@@ -226,7 +201,17 @@ async def _drive(
 ) -> ServiceDrillResult:
     n = len(cluster.hosts)
     interval_s = cluster.config.round_interval / 1000.0
-    steps = _timeline(plans)
+    # Every topic's timeline as (round, topic, step, action). Window
+    # ends are left out: a topic's loss burst expires on its own.
+    steps = sorted(
+        (
+            (step.at_round, plan.topic, step.step, step.action)
+            for plan in plans
+            for step in plan.schedule.timeline()
+            if step.step != "window_end"
+        ),
+        key=lambda step: step[0],
+    )
     last_round = max((step[0] for step in steps), default=0.0)
     total_rounds = int(last_round) + TAIL_ROUNDS
 
@@ -259,7 +244,7 @@ async def _drive(
             cluster.heal_topic_partition(topic)
             partition_active[topic] = False
             fault_log.append((at, f"heal topic {topic}"))
-        elif op == "loss_burst":
+        elif op == "window":
             cluster.set_topic_loss(topic, action.rate, action.duration * interval_s)
             if action.rate >= 0.99:
                 heavy_burst_until[topic] = at + action.duration
@@ -273,7 +258,7 @@ async def _drive(
                 down_hosts.add(host_id)
                 outages.setdefault(host_id, []).append([at, float("inf")])
             fault_log.append((at, f"crash hosts {list(action.nodes)}"))
-        elif op == "respawn":
+        elif op == "recover":
             for host_id in action.nodes:
                 await cluster.respawn_host(host_id)
                 down_hosts.discard(host_id)

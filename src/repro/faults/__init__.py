@@ -2,10 +2,11 @@
 
 One declarative :class:`~repro.faults.schedule.FaultSchedule` — crash
 and recover, partition and heal, loss bursts, latency spikes, datagram
-corruption — with two interpreters, so the exact same scenario runs
-against the discrete-event simulator
-(:class:`~repro.faults.sim_injector.SimFaultInjector`) and the asyncio
-runtime (:class:`~repro.faults.runtime_injector.AsyncFaultInjector`).
+corruption — and one interpreter (:mod:`repro.faults.injector`) with an
+adapter per runtime, so the exact same scenario runs against the
+discrete-event simulator
+(:class:`~repro.faults.injector.SimFaultInjector`) and the asyncio
+runtime (:class:`~repro.faults.injector.AsyncFaultInjector`).
 Self-healing comes from
 :class:`~repro.faults.supervisor.NodeSupervisor` (backoff restarts of
 crashed nodes), post-mortems from
@@ -21,7 +22,7 @@ from .adaptive import (
     supervisor_adaptation,
 )
 from .byzantine import ByzantineRouter, ByzantineStats, scramble_journal
-from .runtime_injector import AsyncFaultInjector
+from .injector import AsyncFaultInjector, FaultStats, SimFaultInjector
 from .schedule import (
     BYZANTINE_BEHAVIORS,
     ByzantineNodes,
@@ -34,8 +35,8 @@ from .schedule import (
     LossBurst,
     PartitionNetwork,
     ScrambleState,
+    TimelineStep,
 )
-from .sim_injector import FaultStats, SimFaultInjector
 from .supervisor import NodeSupervisor, SupervisorStats
 from .verify import SurvivorReport, check_survivors
 
@@ -61,6 +62,7 @@ __all__ = [
     "SimFaultInjector",
     "SupervisorStats",
     "SurvivorReport",
+    "TimelineStep",
     "adapt_config",
     "check_survivors",
     "lemma7_parameters",

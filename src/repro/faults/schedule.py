@@ -7,9 +7,11 @@ corruption windows. Times are expressed in **rounds** — multiples of
 the deployment's EpTO round interval ``delta`` — so the very same
 scenario drives the discrete-event simulator (where a round is
 ``round_interval`` ticks, via
-:class:`repro.faults.sim_injector.SimFaultInjector`) and the asyncio
+:class:`repro.faults.injector.SimFaultInjector`) and the asyncio
 runtime (where it is ``round_interval`` milliseconds, via
-:class:`repro.faults.runtime_injector.AsyncFaultInjector`).
+:class:`repro.faults.injector.AsyncFaultInjector`). Both read the
+schedule through :meth:`FaultSchedule.timeline`, the one expansion of
+actions into interpreter steps.
 
 Schedules are plain data: build them programmatically, or load them
 from dicts/JSON (:meth:`FaultSchedule.from_dict` /
@@ -30,8 +32,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
+from typing import NamedTuple
 
 from ..core.errors import FaultInjectionError
+
+
+#: An action's interpreter steps (see :meth:`FaultSchedule.timeline`):
+#: start step, follow-up step, and the field holding the follow-up's
+#: delay in rounds (no follow-up when that field is ``None``).
+_Steps = Tuple[str, Optional[str], Optional[str]]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -58,6 +67,7 @@ class CrashNodes:
     recover_after: Optional[float] = None
 
     kind: ClassVar[str] = "crash"
+    steps: ClassVar[_Steps] = ("crash", "recover", "recover_after")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -96,6 +106,7 @@ class PartitionNetwork:
     heal_after: Optional[float] = None
 
     kind: ClassVar[str] = "partition"
+    steps: ClassVar[_Steps] = ("partition", "heal", "heal_after")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -121,6 +132,7 @@ class HealPartition:
     at_round: float
 
     kind: ClassVar[str] = "heal"
+    steps: ClassVar[_Steps] = ("heal", None, None)
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -135,6 +147,7 @@ class LossBurst:
     duration: float
 
     kind: ClassVar[str] = "loss_burst"
+    steps: ClassVar[_Steps] = ("window", "window_end", "duration")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -151,6 +164,7 @@ class LatencySpike:
     duration: float
 
     kind: ClassVar[str] = "latency_spike"
+    steps: ClassVar[_Steps] = ("window", "window_end", "duration")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -177,6 +191,7 @@ class CorruptDatagrams:
     duration: float
 
     kind: ClassVar[str] = "corrupt"
+    steps: ClassVar[_Steps] = ("window", "window_end", "duration")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -219,6 +234,7 @@ class ByzantineNodes:
     duration: Optional[float] = None
 
     kind: ClassVar[str] = "byzantine"
+    steps: ClassVar[_Steps] = ("byzantine", "byzantine_end", "duration")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -259,6 +275,7 @@ class ScrambleState:
     garbage_events: int = 3
 
     kind: ClassVar[str] = "scramble"
+    steps: ClassVar[_Steps] = ("scramble", "unscramble", "recover_after")
 
     def __post_init__(self) -> None:
         _require(self.at_round >= 0, f"at_round must be >= 0, got {self.at_round}")
@@ -300,6 +317,13 @@ _ACTION_TYPES: Dict[str, type] = {
     )
 }
 
+class TimelineStep(NamedTuple):
+    """One interpreter step: apply *step* for *action* at *at_round*."""
+
+    at_round: float
+    step: str
+    action: FaultAction
+
 
 class FaultSchedule:
     """An ordered list of fault actions over one run.
@@ -326,23 +350,34 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.actions)
 
+    def timeline(self) -> List[TimelineStep]:
+        """Expand every action into its interpreter steps, sorted by round.
+
+        Each action contributes its start step plus, when configured,
+        one follow-up: ``recover`` after a crash, ``heal`` after a
+        partition, ``window_end`` after a loss burst, latency spike or
+        corruption window, ``byzantine_end`` after a hostile window and
+        ``unscramble`` after a state scramble. Ties keep schedule order,
+        with each start ahead of its own follow-up.
+        """
+        steps: List[TimelineStep] = []
+        for action in self.actions:
+            start, follow_up, delay_field = action.steps
+            steps.append(TimelineStep(action.at_round, start, action))
+            delay = getattr(action, delay_field) if delay_field else None
+            if delay is not None:
+                steps.append(
+                    TimelineStep(action.at_round + delay, follow_up, action)
+                )
+        steps.sort(key=lambda step: step.at_round)
+        return steps
+
     @property
     def horizon_rounds(self) -> float:
         """Last round at which the schedule still has an effect pending
         (including recoveries, heals and window ends). Size runs past
         this so every action lands and the system can quiesce after."""
-        horizon = 0.0
-        for action in self.actions:
-            end = action.at_round
-            tail = (
-                getattr(action, "recover_after", None)
-                or getattr(action, "heal_after", None)
-                or getattr(action, "duration", None)
-            )
-            if tail is not None:
-                end += tail
-            horizon = max(horizon, end)
-        return horizon
+        return max([0.0] + [step.at_round for step in self.timeline()])
 
     # ------------------------------------------------------------------
     # (De)serialization — scenario files

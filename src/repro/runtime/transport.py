@@ -15,16 +15,17 @@ datagram socket is a matter of implementing the same three-method
 surface (``register`` / ``unregister`` / ``send``).
 
 Fault injection surface (driven by
-:class:`repro.faults.runtime_injector.AsyncFaultInjector`):
+:class:`repro.faults.injector.AsyncFaultInjector`), shared with the
+other fabrics through :class:`repro.core.interfaces.FaultableNetwork`
+and the window bases below:
 
-* :meth:`AsyncNetwork.set_partition` / :meth:`AsyncNetwork.heal_partition`
-  mirror :class:`repro.sim.network.SimNetwork`; partition membership is
+* ``set_partition`` / ``heal_partition``: partition membership is
   checked at send *and* delivery time, so messages in flight when a
   partition forms are lost like on a real network.
-* :meth:`AsyncNetwork.set_loss_burst` raises the loss rate for a
+* :meth:`LossBurstNetwork.set_loss_burst` raises the loss rate for a
   wall-clock window (a loss *burst*), counted separately from baseline
   loss so experiments can attribute drops.
-* :meth:`AsyncNetwork.set_latency_spike` multiplies the mean latency
+* :meth:`WindowedNetwork.set_latency_spike` multiplies the mean latency
   for a window.
 """
 
@@ -37,6 +38,7 @@ from typing import Any, Callable, Dict
 
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
+from ..core.interfaces import FaultableNetwork
 
 #: Inbox callback: ``handler(src, message)`` (synchronous, loop thread).
 AsyncMessageHandler = Callable[[int, Any], None]
@@ -72,7 +74,50 @@ class AsyncNetworkStats:
         )
 
 
-class AsyncNetwork:
+class LossBurstNetwork(FaultableNetwork):
+    """Link-fault base plus a wall-clock loss-burst window.
+
+    Send paths read ``_burst_rate`` / ``_burst_until`` (``loop.time()``
+    seconds) directly; a burst drop is counted apart from baseline loss.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._burst_rate = 0.0
+        self._burst_until = 0.0
+
+    def set_loss_burst(self, rate: float, duration: float) -> None:
+        """Drop messages with probability *rate* for *duration* seconds,
+        replacing any burst window already open."""
+        self._burst_rate = float(rate)
+        self._burst_until = asyncio.get_running_loop().time() + duration
+
+    def _burst_drops(self, now: float, rng: random.Random) -> bool:
+        """Whether the burst window drops one message sent at *now*."""
+        return (
+            self._burst_rate > 0.0
+            and now < self._burst_until
+            and rng.random() < self._burst_rate
+        )
+
+
+class WindowedNetwork(LossBurstNetwork):
+    """Loss-burst base plus a wall-clock latency-spike window
+    (``_spike_factor`` until ``_spike_until``)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._spike_factor = 1.0
+        self._spike_until = 0.0
+
+    def set_latency_spike(self, factor: float, duration: float) -> None:
+        """Multiply the mean latency by *factor* for *duration* seconds,
+        replacing any spike window already open."""
+        self._spike_factor = float(factor)
+        self._spike_until = asyncio.get_running_loop().time() + duration
+
+
+class AsyncNetwork(WindowedNetwork):
     """In-process asyncio network with latency, loss and fault injection.
 
     Args:
@@ -95,21 +140,13 @@ class AsyncNetwork:
         seed: int = 0,
         authenticator=None,
     ) -> None:
+        super().__init__()
         self.latency = latency
         self.loss_rate = loss_rate
         self.stats = AsyncNetworkStats()
         self._guard = BallGuard(authenticator) if authenticator else None
-        self._adversary = None
         self._handlers: Dict[int, AsyncMessageHandler] = {}
         self._rng = random.Random(seed)
-        # Partition: node id -> group label (None group is implicit).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        # Fault windows, in loop.time() seconds.
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
-        self._spike_factor = 1.0
-        self._spike_until = 0.0
 
     def register(self, node_id: int, handler: AsyncMessageHandler) -> None:
         """Attach *handler* as the inbox of *node_id*."""
@@ -124,56 +161,6 @@ class AsyncNetwork:
     def is_registered(self, node_id: int) -> bool:
         """Whether *node_id* currently has an inbox."""
         return node_id in self._handlers
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop messages with probability *rate* for *duration* seconds.
-
-        While the burst window is open the burst rate applies on top of
-        (checked after) the baseline ``loss_rate``; burst drops are
-        counted in ``stats.dropped_burst``.
-        """
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
-    def set_latency_spike(self, factor: float, duration: float) -> None:
-        """Multiply the mean latency by *factor* for *duration* seconds."""
-        self._spike_factor = float(factor)
-        self._spike_until = asyncio.get_running_loop().time() + duration
-
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
 
     # ------------------------------------------------------------------
     # Sending
@@ -191,7 +178,7 @@ class AsyncNetwork:
             return
         loop = asyncio.get_running_loop()
         now = loop.time()
-        if now < self._burst_until and self._rng.random() < self._burst_rate:
+        if self._burst_drops(now, self._rng):
             self.stats.dropped_burst += 1
             return
         latency = self.latency

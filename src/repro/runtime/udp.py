@@ -16,18 +16,20 @@ Sends to nodes whose socket is not open yet are counted as drops — UDP
 gives no delivery guarantee anyway, and EpTO is built for exactly that.
 
 Fault injection surface (driven by
-:class:`repro.faults.runtime_injector.AsyncFaultInjector`):
+:class:`repro.faults.injector.AsyncFaultInjector`; partitions, the
+adversary slot and the burst and spike windows are inherited from
+:class:`repro.runtime.transport.WindowedNetwork`):
 
-* :meth:`UdpNetwork.set_partition` / :meth:`UdpNetwork.heal_partition`
-  drop datagrams crossing partition groups at send time;
-* :meth:`UdpNetwork.set_loss_burst` drops outgoing datagrams with a
-  given probability for a wall-clock window;
+* ``set_partition`` / ``heal_partition`` drop datagrams crossing
+  partition groups at send time;
+* ``set_loss_burst`` drops outgoing datagrams with a given probability
+  for a wall-clock window;
 * :meth:`UdpNetwork.set_corruption` mangles outgoing datagrams with a
   given probability (garbled magic, truncation, or a corrupted entry
   count), exercising the receiver-side ``dropped_malformed`` defence
   with real bytes on real sockets, in the spirit of update diffusion
   under Byzantine payload corruption (Malkhi et al.);
-* :meth:`UdpNetwork.set_latency_spike` defers ``sendto`` calls for a
+* ``set_latency_spike`` defers ``sendto`` calls for a
   wall-clock window — real sockets cannot stretch the wire, but a
   sender-side delay is indistinguishable to the receiver, so the full
   :class:`~repro.faults.schedule.FaultSchedule` vocabulary runs over
@@ -74,6 +76,7 @@ from .codec import (
     encode_into,
     last_encode_payload_bytes,
 )
+from .transport import WindowedNetwork
 
 #: Inbox callback: ``handler(src, message)``.
 UdpMessageHandler = Callable[[int, Any], None]
@@ -284,7 +287,7 @@ class _RawEndpoint:
 DEFAULT_SPIKE_BASE = 0.001
 
 
-class UdpNetwork:
+class UdpNetwork(WindowedNetwork):
     """Loopback UDP fabric hosting any number of in-process nodes.
 
     Args:
@@ -331,6 +334,7 @@ class UdpNetwork:
         # Opportunistic loop upgrade: a no-op unless the optional
         # uvloop extra is installed and no loop is running yet.
         fastloop.ensure_uvloop()
+        super().__init__()
         self.host = host
         self.latency = float(latency)
         self.stats = UdpStats()
@@ -348,7 +352,6 @@ class UdpNetwork:
             self._recv_tier = batchio.best_recv_tier()
             self._batch_enabled = True
         self._guard = BallGuard(authenticator) if authenticator else None
-        self._adversary = None
         self._handlers: Dict[int, UdpMessageHandler] = {}
         # Callbacks run at the top of close(), before any socket dies:
         # layers stacked on the fabric (the multi-topic service demux)
@@ -377,16 +380,9 @@ class UdpNetwork:
         # encode buffer cannot serve them. Grows to the largest bundle
         # ever shipped (bounded by cluster size) and is reused forever.
         self._bundle_pool: List[bytearray] = []
-        # Partition: node id -> group label (None group is implicit).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        # Fault windows, in loop.time() seconds (None = open-ended).
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
+        # Corruption window, in loop.time() seconds (None = open-ended).
         self._corrupt_rate = 0.0
         self._corrupt_until: Optional[float] = 0.0
-        self._spike_factor = 1.0
-        self._spike_until = 0.0
 
     # ------------------------------------------------------------------
     # AsyncNetwork-compatible surface
@@ -696,39 +692,6 @@ class UdpNetwork:
     # Fault injection
     # ------------------------------------------------------------------
 
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination before
-        encoding, modeling Byzantine relays on real sockets."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the fabric: datagrams crossing groups are dropped.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop outgoing datagrams with probability *rate* for
-        *duration* seconds (counted in ``stats.dropped_burst``)."""
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
     def set_corruption(self, rate: float, duration: float | None = None) -> None:
         """Corrupt outgoing datagrams with probability *rate*.
 
@@ -742,19 +705,6 @@ class UdpNetwork:
             self._corrupt_until = None
         else:
             self._corrupt_until = asyncio.get_running_loop().time() + duration
-
-    def set_latency_spike(self, factor: float, duration: float) -> None:
-        """Delay outgoing datagrams for *duration* seconds.
-
-        Sender-side spike: every ``sendto`` in the window is deferred
-        by ``latency * factor`` (jittered ±50%), where a zero
-        configured latency falls back to :data:`DEFAULT_SPIKE_BASE`.
-        This completes the :class:`~repro.faults.schedule.FaultSchedule`
-        vocabulary over real sockets — the receiver observes stretched
-        delivery times exactly as if the wire itself had slowed.
-        """
-        self._spike_factor = float(factor)
-        self._spike_until = asyncio.get_running_loop().time() + duration
 
     def clear_corruption(self) -> None:
         """Stop corrupting datagrams."""
@@ -782,11 +732,6 @@ class UdpNetwork:
         # Flip the entry count high (header byte 12 starts the u32
         # count in "!2sBBqI"): body length no longer matches.
         return datagram[:12] + b"\xff" + datagram[13:]
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
 
     # ------------------------------------------------------------------
     # Socket lifecycle

@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.errors import MembershipError
 from ..runtime import codec
 from ..runtime.codec import CodecError, MAX_DATAGRAM, TopicEnvelope
+from ..runtime.transport import LossBurstNetwork
 
 #: Inbox callback: ``handler(src, message)`` — what a channel delivers
 #: to its registered node, identical to the fabric-level contract.
@@ -74,7 +75,7 @@ class DemuxStats:
     non_envelope_received: int = 0
 
 
-class TopicChannel:
+class TopicChannel(LossBurstNetwork):
     """One topic's view of the shared endpoint.
 
     Implements the network surface :class:`~repro.runtime.node.AsyncEpToNode`
@@ -83,18 +84,19 @@ class TopicChannel:
     :class:`TopicDemux`. At most one node — the hosting process — may
     register; the node id must be the demux's host id, since the topic
     engine *is* the host's presence on that topic.
+
+    The inherited partition and loss-burst surface is per topic: frames
+    crossing this topic's partition groups, or lost to its burst, are
+    dropped at enqueue while every other topic's traffic between the
+    same hosts keeps flowing.
     """
 
     def __init__(self, demux: "TopicDemux", topic: int) -> None:
+        super().__init__()
         self.topic = topic
         self._demux = demux
         self.handler: Optional[ChannelHandler] = None
         self._handler_id: Optional[int] = None
-        # Per-topic fault state (sender-side, like the fabric's).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
 
     # -- network surface -------------------------------------------------
 
@@ -128,38 +130,6 @@ class TopicChannel:
         # the encode-once fan-out economics through the demux.
         for dst in dsts:
             self._demux.enqueue(self, src, dst, message)
-
-    # -- per-topic fault surface -----------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition *this topic only*: frames crossing groups are
-        dropped at enqueue while every other topic's traffic between
-        the same hosts keeps flowing."""
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Restore this topic's full connectivity."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop this topic's outgoing frames with probability *rate*
-        for *duration* seconds."""
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
-    def crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
-
-    def burst_drops(self, now: float, rng: random.Random) -> bool:
-        return (
-            self._burst_rate > 0.0
-            and now < self._burst_until
-            and rng.random() < self._burst_rate
-        )
 
 
 class TopicDemux:
@@ -231,11 +201,11 @@ class TopicDemux:
             self.stats.dropped_closed += 1
             return
         self.stats.frames_sent += 1
-        if channel.crosses_partition(src, dst):
+        if channel._crosses_partition(src, dst):
             self.stats.dropped_partition += 1
             return
         loop = asyncio.get_running_loop()
-        if channel.burst_drops(loop.time(), self._rng):
+        if channel._burst_drops(loop.time(), self._rng):
             self.stats.dropped_burst += 1
             return
         self._pending.setdefault(dst, []).append((channel.topic, src, message))

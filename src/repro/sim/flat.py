@@ -32,7 +32,7 @@ counters. Every RNG stream keeps the object engine's label
 so the driver layer — :class:`~repro.sim.engine.PeriodicTask`,
 :class:`~repro.workloads.broadcast.ProbabilisticWorkload`,
 :class:`~repro.sim.churn.ChurnDriver`,
-:class:`~repro.faults.sim_injector.SimFaultInjector` — runs unchanged
+:class:`~repro.faults.injector.SimFaultInjector` — runs unchanged
 against :class:`FlatEngine` / :class:`FlatCluster`.
 
 Deliberately out of scope (the object engine remains the reference for
@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import MembershipError, SimulationError
 from ..core.event import Event, OrderKey
+from ..core.interfaces import FaultableNetwork
 from ..metrics.collector import DeliveryCollector
 from ..pss.base import MembershipDirectory
 from .cluster import ClusterConfig
@@ -315,7 +316,7 @@ class FlatEngine:
         )
 
 
-class FlatNetwork:
+class FlatNetwork(FaultableNetwork):
     """Message-fabric state for :class:`FlatCluster`.
 
     Holds exactly the knobs the object fabric
@@ -325,7 +326,9 @@ class FlatNetwork:
     same RNG stream labels and draw order. The send/deliver paths
     themselves are inlined into :class:`FlatCluster` for speed; this
     object is the mutable control surface
-    :class:`~repro.faults.sim_injector.SimFaultInjector` manipulates.
+    :class:`~repro.faults.injector.SimFaultInjector` manipulates.
+    Hostile-behavior routers are refused: Byzantine runs need the
+    object engine.
     """
 
     __slots__ = (
@@ -336,8 +339,11 @@ class FlatNetwork:
         "stats",
         "_loss_rng",
         "_latency_rng",
-        "_partition",
-        "_partitioned",
+    )
+
+    adversary_refusal = (
+        "the flat engine does not support Byzantine adversaries; "
+        "use SimNetwork/SimCluster for hostile-behavior runs"
     )
 
     def __init__(
@@ -347,6 +353,7 @@ class FlatNetwork:
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
     ) -> None:
+        super().__init__()
         self.sim = sim
         self.latency = latency if latency is not None else FixedLatency(1)
         self.loss_rate = float(loss_rate)
@@ -354,30 +361,6 @@ class FlatNetwork:
         self.stats = NetworkStats()
         self._loss_rng = sim.fork_rng("network.loss")
         self._latency_rng = sim.fork_rng("network.latency")
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Mutates the partition dict in place — the engine's run loop
-        holds a reference to it across an entire ``run()`` call.
-        """
-        self._partition.clear()
-        self._partition.update(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition.clear()
-        self._partitioned = False
-
-    def set_adversary(self, router: object) -> None:
-        """Unsupported: Byzantine runs need the object engine."""
-        raise MembershipError(
-            "the flat engine does not support Byzantine adversaries; "
-            "use SimNetwork/SimCluster for hostile-behavior runs"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
+from ..core.interfaces import FaultableNetwork
 from .engine import Simulator
 from .latency import FixedLatency, LatencyModel
 
@@ -69,7 +70,7 @@ class NetworkStats:
         return self.delivered / self.sent if self.sent else 1.0
 
 
-class SimNetwork:
+class SimNetwork(FaultableNetwork):
     """Message router over a :class:`~repro.sim.engine.Simulator`.
 
     Args:
@@ -97,21 +98,16 @@ class SimNetwork:
         duplicate_rate: float = 0.0,
         authenticator=None,
     ) -> None:
+        super().__init__()
         self.sim = sim
         self.latency = latency if latency is not None else FixedLatency(1)
         self.loss_rate = float(loss_rate)
         self.duplicate_rate = float(duplicate_rate)
         self.stats = NetworkStats()
         self._guard = BallGuard(authenticator) if authenticator else None
-        self._adversary = None
         self._handlers: Dict[int, MessageHandler] = {}
         self._loss_rng = sim.fork_rng("network.loss")
         self._latency_rng = sim.fork_rng("network.latency")
-        # Partition: node id -> group label. Nodes in different groups
-        # cannot exchange messages; unlabelled nodes are in group None
-        # together.
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
 
     # ------------------------------------------------------------------
     # Membership
@@ -138,46 +134,6 @@ class SimNetwork:
     def registered_count(self) -> int:
         """Number of attached nodes."""
         return len(self._handlers)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
-
-    # ------------------------------------------------------------------
-    # Hostile behavior
-    # ------------------------------------------------------------------
-
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination before
-        delivery is scheduled."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
 
     # ------------------------------------------------------------------
     # Sending

@@ -21,10 +21,13 @@ from repro.faults import (
     CrashNodes,
     FaultSchedule,
     LatencySpike,
+    LossBurst,
     PartitionNetwork,
+    SimFaultInjector,
     check_survivors,
 )
 from repro.runtime import AsyncCluster
+from repro.sim import ClusterConfig, SimCluster, SimNetwork, Simulator
 
 
 def run(coro):
@@ -253,3 +256,85 @@ class TestFabricChecks:
         injector, factor = run(scenario())
         assert injector.stats.latency_spikes == 1
         assert factor == 5.0
+
+
+class TestOverlappingWindows:
+    def test_shorter_later_window_does_not_cut_a_longer_one_short(self):
+        """Bursts 0.5@2+10 and 0.9@4+2, spikes x3@2+10 and x2@4+2: at
+        round 8 only the long windows are open, and they must still
+        apply on the fabric."""
+
+        async def scenario():
+            config = small_config(round_interval=50)
+            cluster = AsyncCluster(config, seed=6)
+            cluster.add_nodes(3)
+            cluster.start_all()
+            schedule = FaultSchedule(
+                [
+                    LossBurst(at_round=2.0, rate=0.5, duration=10.0),
+                    LossBurst(at_round=4.0, rate=0.9, duration=2.0),
+                    LatencySpike(at_round=2.0, factor=3.0, duration=10.0),
+                    LatencySpike(at_round=4.0, factor=2.0, duration=2.0),
+                ]
+            )
+            injector = AsyncFaultInjector(cluster, schedule, seed=6)
+            task = asyncio.ensure_future(injector.run())
+            await asyncio.sleep(8 * config.round_interval / 1000.0)
+            network = cluster.network
+            now = asyncio.get_running_loop().time()
+            state = (
+                network._burst_rate,
+                now < network._burst_until,
+                network._spike_factor,
+                now < network._spike_until,
+            )
+            await task
+            await cluster.stop_all()
+            return injector, state
+
+        injector, state = run(scenario())
+        assert state == (0.5, True, 3.0, True)
+        closes = [message for _, message in injector.log if "window" in message]
+        assert closes == [
+            "loss window still open at 0.5",
+            "spike window still open at 3.0",
+            "loss window closed",
+        ]
+
+
+class TestContinuousSurvivors:
+    def test_same_definition_in_both_runtimes(self):
+        """A same-id crash-and-recover schedule yields the same
+        continuous survivors from both adapters: a recovered node is
+        live again but never a *continuous* survivor."""
+        schedule = FaultSchedule(
+            [CrashNodes(at_round=1.0, nodes=(1, 2), recover_after=2.0)]
+        )
+
+        sim = Simulator(seed=4)
+        sim_cluster = SimCluster(
+            sim,
+            SimNetwork(sim),
+            ClusterConfig(epto=small_config(round_interval=10)),
+        )
+        sim_cluster.add_nodes(5)
+        sim_injector = SimFaultInjector(sim, sim_cluster, schedule, recovery="same_id")
+        sim_injector.install()
+        sim.run(until=6 * 10)
+        assert set(sim_cluster.alive_ids()) == {0, 1, 2, 3, 4}
+
+        async def scenario():
+            cluster = AsyncCluster(small_config(round_interval=10), seed=4)
+            cluster.add_nodes(5)
+            cluster.start_all()
+            injector = AsyncFaultInjector(cluster, schedule, seed=4)
+            await injector.run()
+            live = set(cluster.live_ids())
+            survivors = injector.continuous_survivors()
+            await cluster.stop_all()
+            return live, survivors
+
+        live, async_survivors = run(scenario())
+        assert live == {0, 1, 2, 3, 4}
+        assert sim_injector.continuous_survivors() == {0, 3, 4}
+        assert async_survivors == {0, 3, 4}

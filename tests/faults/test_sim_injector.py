@@ -162,6 +162,38 @@ class TestIndividualActions:
         assert injector.continuous_survivors() == {0, 3, 4}
 
 
+class TestOverlappingWindows:
+    def test_strongest_open_window_applies_until_the_last_closes(self):
+        """A short strong window inside a long weak one: the strong one
+        applies while open, the weak one resumes after it, and the
+        baseline only returns when the long window closes."""
+        sim, network, cluster = build_cluster(n=4, seed=3)
+        base_model = network.latency
+        schedule = FaultSchedule(
+            [
+                LossBurst(at_round=2.0, rate=0.5, duration=10.0),
+                LossBurst(at_round=4.0, rate=0.9, duration=2.0),
+                LatencySpike(at_round=2.0, factor=3.0, duration=10.0),
+                LatencySpike(at_round=4.0, factor=2.0, duration=2.0),
+            ]
+        )
+        injector = SimFaultInjector(sim, cluster, schedule)
+        injector.install()
+        probe = sim.fork_rng("probe")
+
+        sim.run(until=5 * ROUND)
+        assert network.loss_rate == 0.9
+        assert network.latency.sample(probe, 0, 1) == 3
+        sim.run(until=8 * ROUND)
+        assert network.loss_rate == 0.5
+        assert network.latency.sample(probe, 0, 1) == 3
+        sim.run(until=13 * ROUND)
+        assert network.loss_rate == 0.0
+        assert network.latency is base_model
+        assert injector.stats.loss_bursts == 2
+        assert injector.stats.latency_spikes == 2
+
+
 class TestInstallGuards:
     def test_double_install_rejected(self):
         sim, network, cluster = build_cluster(n=3)

@@ -53,7 +53,7 @@ from .protocol import (
 from .pull import PullManager
 from .store import PayloadStore
 
-# Wire-size estimates mirroring the codec's version-4 layouts (kept
+# Wire-size estimates mirroring the codec's kind 9–11 layouts (kept
 # local: the codec imports this package's protocol module, so importing
 # the codec from here would be circular). One datagram header, one
 # id-ball entry (ts i64 + source i64 + seq i64 + ttl i32), one event id

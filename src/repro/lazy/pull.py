@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import EventId
 from .protocol import PayloadRequest
@@ -42,8 +42,6 @@ class PullStats:
     pulls_failed: int = 0
     #: requests put on the wire (batched; >= 1 id each).
     requests_sent: int = 0
-    #: responses that satisfied at least one pending id.
-    responses_used: int = 0
 
 
 @dataclass(slots=True)
@@ -96,10 +94,6 @@ class PullManager:
     def pending_count(self) -> int:
         """Ids whose payload has not arrived yet."""
         return len(self._pending)
-
-    def pending_ids(self) -> Sequence[EventId]:
-        """Snapshot of the wanted ids."""
-        return tuple(self._pending)
 
     def is_pending(self, event_id: EventId) -> bool:
         return event_id in self._pending
@@ -163,7 +157,6 @@ class PullManager:
         """Retire an in-flight request once its response is processed."""
         entry = self._inflight.pop(req_id, None)
         if entry is not None:
-            self.stats.responses_used += 1
             _, ids, _ = entry
             for event_id in ids:
                 state = self._pending.get(event_id)

@@ -38,20 +38,17 @@ pull_resp:req_id u32 | missing u32 |
 pairs for digests and requests, events for chunks and pull responses,
 ids for pull requests, frames for topic envelopes.
 
-Versioning: kinds 1–6 are header version 1; the signed-ball kind 7 is
-header version 2; the multi-topic envelope kind 8 is header version 3
-(see :mod:`repro.service`); the lazy-push kinds 9–11 (id-ball,
-payload-request, payload-response — :mod:`repro.lazy`) are header
-version 4. The decoder accepts all four versions (a version-4 node
-reads older traffic unchanged), rejects kind 7 under version 1, kind 8
-under versions 1–2 and kinds 9–11 under versions 1–3, and raises the
-distinguishable :class:`CodecVersionError` for any other version so
-transports can count future-version traffic apart from line noise. ``mac_len == 0`` marks an unsigned entry inside a signed
-ball. Each envelope frame wraps one *complete* datagram — its own
-header and body, produced by the same per-kind encoders — so every
-message the codec can put on the wire can ride inside an envelope
-unchanged (signed balls keep their inner version 2); envelopes cannot
-nest.
+Versioning: every kind — including the signed ball (kind 7), the
+multi-topic envelope (kind 8, see :mod:`repro.service`) and the
+lazy-push kinds 9–11 (:mod:`repro.lazy`) — is encoded under the one
+header version, 1. The decoder raises the distinguishable
+:class:`CodecVersionError` for any other version byte, so transports
+can count traffic from incompatible peers apart from line noise.
+``mac_len == 0`` marks an unsigned entry inside a signed ball. Each
+envelope frame wraps one *complete* datagram — its own header and
+body, produced by the same per-kind encoders — so every message the
+codec can put on the wire can ride inside an envelope unchanged;
+envelopes cannot nest.
 
 Payloads must be JSON-serializable — the natural constraint for data
 crossing process boundaries. Encoded messages are capped at
@@ -86,10 +83,6 @@ MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
 _VERSION = 1
-_VERSION_SIGNED = 2
-_VERSION_TOPIC = 3
-_VERSION_LAZY = 4
-_SUPPORTED_VERSIONS = (_VERSION, _VERSION_SIGNED, _VERSION_TOPIC, _VERSION_LAZY)
 _KIND_BALL = 1
 _KIND_CYCLON_REQ = 2
 _KIND_CYCLON_RESP = 3
@@ -101,7 +94,6 @@ _KIND_TOPIC_ENVELOPE = 8
 _KIND_ID_BALL = 9
 _KIND_PAYLOAD_REQUEST = 10
 _KIND_PAYLOAD_RESPONSE = 11
-_LAZY_KINDS = (_KIND_ID_BALL, _KIND_PAYLOAD_REQUEST, _KIND_PAYLOAD_RESPONSE)
 
 #: Largest topic id the frame layout can carry (topic is a u32).
 MAX_TOPIC_ID = 0xFFFFFFFF
@@ -255,15 +247,7 @@ def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
         kind, count = _KIND_BALL, len(message)
     else:
         raise CodecError(f"cannot encode message of type {type(message).__name__}")
-    if kind in _LAZY_KINDS:
-        version = _VERSION_LAZY
-    elif kind == _KIND_TOPIC_ENVELOPE:
-        version = _VERSION_TOPIC
-    elif kind == _KIND_SIGNED_BALL:
-        version = _VERSION_SIGNED
-    else:
-        version = _VERSION
-    buffer += _HEADER.pack(_MAGIC, version, kind, sender, count)
+    buffer += _HEADER.pack(_MAGIC, _VERSION, kind, sender, count)
     payload_bytes = 0
     if kind == _KIND_BALL:
         payload_bytes = _encode_ball_into(message, buffer)
@@ -312,18 +296,13 @@ def decode(datagram) -> Tuple[int, WireMessage]:
     magic, version, kind, sender, count = _HEADER.unpack_from(datagram)
     if magic != _MAGIC:
         raise CodecError(f"bad magic {magic!r}")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _VERSION:
         raise CodecVersionError(f"unsupported version {version}")
     view = datagram if isinstance(datagram, memoryview) else memoryview(datagram)
     body = view[_HEADER.size :]
     if kind == _KIND_BALL:
         return sender, _decode_ball(body, count)
     if kind == _KIND_SIGNED_BALL:
-        if version < _VERSION_SIGNED:
-            raise CodecError(
-                f"signed ball requires header version {_VERSION_SIGNED}, "
-                f"got {version}"
-            )
         return sender, _decode_signed_ball(body, count)
     if kind == _KIND_CYCLON_REQ:
         return sender, CyclonRequest(entries=_decode_cyclon(body, count))
@@ -336,22 +315,12 @@ def decode(datagram) -> Tuple[int, WireMessage]:
     if kind == _KIND_SYNC_CHUNK:
         return sender, _decode_sync_chunk(body, count)
     if kind == _KIND_TOPIC_ENVELOPE:
-        if version < _VERSION_TOPIC:
-            raise CodecError(
-                f"topic envelope requires header version {_VERSION_TOPIC}, "
-                f"got {version}"
-            )
         return sender, _decode_topic_envelope(body, count)
-    if kind in _LAZY_KINDS:
-        if version < _VERSION_LAZY:
-            raise CodecError(
-                f"lazy-push kind {kind} requires header version "
-                f"{_VERSION_LAZY}, got {version}"
-            )
-        if kind == _KIND_ID_BALL:
-            return sender, _decode_id_ball(body, count)
-        if kind == _KIND_PAYLOAD_REQUEST:
-            return sender, _decode_payload_request(body, count)
+    if kind == _KIND_ID_BALL:
+        return sender, _decode_id_ball(body, count)
+    if kind == _KIND_PAYLOAD_REQUEST:
+        return sender, _decode_payload_request(body, count)
+    if kind == _KIND_PAYLOAD_RESPONSE:
         return sender, _decode_payload_response(body, count)
     raise CodecError(f"unknown message kind {kind}")
 
@@ -515,7 +484,6 @@ def _encode_topic_envelope_into(
     message: TopicEnvelope, buffer: bytearray
 ) -> int:
     # Each frame re-enters _encode_into, so every per-kind encoder
-    # (including the signed-ball one, which keeps its inner version 2)
     # is reused unchanged; the frame length is back-patched once the
     # inner datagram's size is known. The inner call's own cap check
     # sees the cumulative buffer, so an envelope that outgrows the

@@ -18,8 +18,9 @@ This module re-hosts the *same algorithm* in flat per-node state:
 * one calendar-queue pass executes a whole tick — all round fires and
   ball deliveries due at that time — without constructing
   ``ScheduledEvent`` / ``Handle`` / lambda objects per message;
-* the dissemination + ordering round body is inlined into two methods
-  (:meth:`FlatCluster._run_round`, :meth:`FlatCluster._receive_ball`)
+* the dissemination + ordering round body is inlined into
+  :meth:`FlatCluster._run_round_batch`, which steps a whole bucket of
+  round fires at once, and ball delivery into :meth:`FlatEngine.run`,
   with hot values hoisted into locals.
 
 **Bit-for-bit equivalence with the object engine is a hard contract**,
@@ -176,9 +177,7 @@ class FlatEngine:
         self._push(time, (_OP_CALL, cell))
         return FlatHandle(cell)
 
-    def run(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Process entries in time order; returns how many ran.
 
         With ``until`` the clock always advances to exactly ``until``
@@ -196,7 +195,6 @@ class FlatEngine:
             # All of these are stable objects mutated in place for the
             # cluster's lifetime (lists indexed per node, the shared
             # partition dict, the stats record) — never rebound.
-            run_round = cluster._run_round
             run_round_batch = cluster._run_round_batch
             alive = cluster._alive
             next_ball = cluster._next_ball
@@ -206,8 +204,6 @@ class FlatEngine:
             net = cluster.network
             stats = net.stats
             partition = net._partition
-        else:
-            run_round = None
         try:
             while ticks:
                 tick = ticks[0]
@@ -228,18 +224,16 @@ class FlatEngine:
                     index += 1
                     op = entry[0]
                     if op == _OP_ROUND:
-                        if max_events is None:
-                            # Whole-bucket fast path: consume the run of
-                            # consecutive round entries in one call.
-                            consumed = run_round_batch(bucket, index - 1)
-                            index += consumed - 1
-                            processed += consumed
-                            continue
-                        run_round(entry[1], entry[2])
+                        # Consume the run of consecutive round entries
+                        # in one call.
+                        consumed = run_round_batch(bucket, index - 1)
+                        index += consumed - 1
+                        processed += consumed
+                        continue
                     elif op == _OP_BALL:
-                        # FlatCluster._receive_ball, inlined (keep the
-                        # two in sync — the method remains the reference
-                        # implementation and is what shard.py calls).
+                        # Fabric checks + Algorithm 1 receive merge. The
+                        # logical clock (Alg. 4) max-merges every
+                        # entry's timestamp, including expired ones.
                         dst = entry[2]
                         if not alive[dst]:
                             stats.dropped_dead += 1
@@ -282,8 +276,6 @@ class FlatEngine:
                         cell[0] = None
                         action()
                     processed += 1
-                    if max_events is not None and processed >= max_events:
-                        return processed
         finally:
             self._executed += processed
             self._running = False
@@ -637,16 +629,8 @@ class FlatCluster:
         sim._push(now + int(first), (_OP_ROUND, node_id, incarnation))
 
     # ------------------------------------------------------------------
-    # Hot path: one node-round (Algorithms 1 + 2, inlined)
+    # Hot path: batched node-rounds (Algorithms 1 + 2, inlined)
     # ------------------------------------------------------------------
-
-    def _run_round(self, node: int, incarnation: int) -> None:
-        """One node-round; thin wrapper over :meth:`_run_round_batch`.
-
-        The sharded driver calls this per node; the engine's run loop
-        calls the batch form directly over whole calendar buckets.
-        """
-        self._run_round_batch(((_OP_ROUND, node, incarnation),), 0)
 
     def _run_round_batch(self, bucket: Sequence[tuple], start: int) -> int:
         """Execute a maximal run of consecutive ``_OP_ROUND`` entries.
@@ -836,52 +820,6 @@ class FlatCluster:
             else:
                 slot.append((_OP_ROUND, node, incarnation))
         return index - start
-
-    def _receive_ball(self, src: int, dst: int, ball: list) -> None:
-        """Deliver one ball: fabric checks + Algorithm 1 receive merge.
-
-        Reference implementation of the ``_OP_BALL`` handling that
-        :meth:`FlatEngine.run` inlines for speed (keep the two in
-        sync). The sharded driver calls this method directly when
-        routing cross-shard balls.
-        """
-        net = self.network
-        stats = net.stats
-        if not self._alive[dst]:
-            # Destination died while the ball was in flight.
-            stats.dropped_dead += 1
-            return
-        if net._partitioned and net._partition.get(src) != net._partition.get(dst):
-            stats.dropped_partition += 1
-            return
-        stats.delivered += 1
-        nb = self._next_ball[dst]
-        ttl_bound = self._ttl
-        if self._logical:
-            # The logical clock (Alg. 4) max-merges every entry's
-            # timestamp, including expired ones.
-            clock = self._clock_value[dst]
-            for entry in ball:
-                if entry[3] < ttl_bound:
-                    eid = entry[0]
-                    record = nb.get(eid)
-                    if record is None:
-                        nb[eid] = [eid, entry[1], entry[2], entry[3]]
-                    elif entry[3] > record[3]:
-                        record[3] = entry[3]
-                ts = entry[1][0]
-                if ts > clock:
-                    clock = ts
-            self._clock_value[dst] = clock
-        else:
-            for entry in ball:
-                if entry[3] < ttl_bound:
-                    eid = entry[0]
-                    record = nb.get(eid)
-                    if record is None:
-                        nb[eid] = [eid, entry[1], entry[2], entry[3]]
-                    elif entry[3] > record[3]:
-                        record[3] = entry[3]
 
     # ------------------------------------------------------------------
     # Ordering internals (flat port of core/ordering.py)

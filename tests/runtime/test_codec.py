@@ -5,9 +5,26 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.auth import BallGuard, HmacAuthenticator, KeyRing
 from repro.core.event import BallEntry, Event, make_ball
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
-from repro.runtime.codec import MAX_DATAGRAM, CodecError, decode, encode
+from repro.runtime import codec
+from repro.runtime.codec import (
+    MAX_DATAGRAM,
+    CodecError,
+    CodecVersionError,
+    TopicEnvelope,
+    decode,
+    encode,
+)
+from repro.sync.protocol import (
+    DeliveryDigest,
+    SyncChunk,
+    SyncDigest,
+    SyncRequest,
+    events_checksum,
+)
 
 
 def ball_of(*entries):
@@ -167,3 +184,97 @@ class TestRejections:
             decode(blob)
         except CodecError:
             pass
+
+
+def _signed_ball():
+    guard = BallGuard(HmacAuthenticator(KeyRing("version-gate-test")))
+    ball = ball_of(entry(src=1, seq=0, ts=5, ttl=1, payload="s"))
+    guard.seal(1, ball)
+    return guard.attach(ball)
+
+
+_EVENTS = (Event(id=(4, 0), ts=30, source_id=4, payload={"v": 0}),)
+
+#: (kind, message) for every kind the codec encodes.
+_KINDS = [
+    (1, ball_of(entry(src=1, ts=3, ttl=2, payload="p"))),
+    (2, CyclonRequest(entries=((3, 0), (5, 2)))),
+    (3, CyclonResponse(entries=((7, 1),))),
+    (
+        4,
+        SyncDigest(
+            digest=DeliveryDigest(last_key=(12, 3, 7), watermarks=((1, 4),)),
+            reply=False,
+        ),
+    ),
+    (
+        5,
+        SyncRequest(
+            req_id=1,
+            after=None,
+            watermarks=((0, 2),),
+            max_events=8,
+            max_bytes=1_000,
+        ),
+    ),
+    (
+        6,
+        SyncChunk(
+            req_id=1,
+            events=_EVENTS,
+            checksum=events_checksum(_EVENTS),
+            more=False,
+            peer_last=None,
+        ),
+    ),
+    (7, _signed_ball()),
+    (
+        8,
+        TopicEnvelope(
+            frames=(
+                (0, 2, _signed_ball()),
+                (1, 2, IdBall(entries=((9, 1, 0, 2),))),
+            )
+        ),
+    ),
+    (9, IdBall(entries=((10, 1, 0, 2),))),
+    (10, PayloadRequest(req_id=7, ids=((1, 0),))),
+    (11, PayloadResponse(req_id=7, events=_EVENTS, missing=((2, 1),))),
+]
+
+
+def _frame_offsets(wire):
+    """Start offset of every inner datagram in an envelope wire."""
+    offsets = []
+    offset = codec._HEADER.size
+    while offset < len(wire):
+        _, inner_len = codec._FRAME_HEAD.unpack_from(wire, offset)
+        offset += codec._FRAME_HEAD.size
+        offsets.append(offset)
+        offset += inner_len
+    return offsets
+
+
+class TestVersionGate:
+    """Every kind encodes under the one header version; a well-framed
+    datagram carrying any other version byte is a version rejection
+    (``CodecVersionError``), not a malformed one."""
+
+    @pytest.mark.parametrize(
+        "kind,message", _KINDS, ids=[f"kind{kind}" for kind, _ in _KINDS]
+    )
+    def test_single_version_encoded_and_every_other_rejected(self, kind, message):
+        wire = encode(1, message)
+        assert wire[:2] == b"EP" and wire[3] == kind
+        headers = [0] + (_frame_offsets(wire) if kind == 8 else [])
+        if kind == 8:
+            assert [wire[start + 3] for start in headers[1:]] == [7, 9]
+        for start in headers:
+            assert wire[start + 2] == codec._VERSION
+            for version in range(256):
+                if version == codec._VERSION:
+                    continue
+                restamped = bytearray(wire)
+                restamped[start + 2] = version
+                with pytest.raises(CodecVersionError):
+                    decode(bytes(restamped))

@@ -1,4 +1,4 @@
-"""Wire-hostility tests for the lazy-push codec (kinds 9-11, version 4).
+"""Wire-hostility tests for the lazy-push codec (kinds 9-11).
 
 Mirrors ``test_codec_topic.py`` for the lazy-push subsystem's framing:
 id-balls, payload pull requests and payload responses face the same
@@ -62,10 +62,6 @@ class TestRoundTrip:
         assert sender == 42
         assert decoded == message
 
-    def test_lazy_kinds_use_version_4(self):
-        for build in _BUILDERS:
-            assert codec.encode(1, build())[2] == 4
-
     def test_empty_messages_round_trip(self):
         for message in (
             IdBall(entries=()),
@@ -123,18 +119,6 @@ class TestVersionGate:
         wire[2] = 5
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
-
-    @pytest.mark.parametrize("build", _BUILDERS, ids=_IDS)
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_lazy_kinds_under_old_versions_rejected(self, build, version):
-        # A well-framed v1/v2/v3 header must never smuggle in a lazy
-        # kind — and the rejection is a plain CodecError, not the
-        # version-negotiation signal.
-        wire = bytearray(codec.encode(1, build()))
-        wire[2] = version
-        with pytest.raises(CodecError) as err:
-            codec.decode(bytes(wire))
-        assert not isinstance(err.value, CodecVersionError)
 
 
 class TestHostileBytes:
@@ -195,7 +179,8 @@ class TestHostileBytes:
 
 class TestFramedDifferential:
     """Differential fuzz: envelope framing must not change what lazy
-    messages mean, mirroring ``TestV2V3Differential`` for kinds 9-11."""
+    messages mean, mirroring ``test_codec_topic.TestFramedDifferential``
+    for kinds 9-11."""
 
     @staticmethod
     def _random_message(rng):
@@ -251,12 +236,3 @@ class TestFramedDifferential:
                 )
             )
             assert envelope.frames == ((topic,) + standalone,)
-
-    def test_downstamped_lazy_wires_always_rejected(self):
-        rng = random.Random(0x1A28)
-        for _ in range(100):
-            message = self._random_message(rng)
-            wire = bytearray(codec.encode(1, message))
-            wire[2] = rng.choice([1, 2, 3])
-            with pytest.raises(CodecError):
-                codec.decode(bytes(wire))

@@ -1,4 +1,4 @@
-"""Wire-hostility tests for the signed-ball codec (kind 7, version 2).
+"""Wire-hostility tests for the signed-ball codec (kind 7).
 
 The decode path faces the open internet in the UDP fabric: truncated,
 oversized, wrong-version and bit-flipped datagrams must all be rejected
@@ -59,12 +59,6 @@ class TestRoundTrip:
         _, decoded = codec.decode(codec.encode(1, signed))
         assert decoded == signed
 
-    def test_signed_ball_uses_version_2_plain_stays_1(self):
-        signed_wire = codec.encode(1, _signed_ball())
-        plain_wire = codec.encode(1, _signed_ball().entries)
-        assert signed_wire[2] == 2
-        assert plain_wire[2] == 1
-
     def test_plain_kinds_still_decode(self):
         ball = _signed_ball().entries
         _, decoded = codec.decode(codec.encode(1, ball))
@@ -73,8 +67,6 @@ class TestRoundTrip:
 
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
-        # Version 4 is the lazy-push version, so the first genuinely
-        # unknown version is now 5.
         wire = bytearray(codec.encode(1, _signed_ball()))
         wire[2] = 5
         with pytest.raises(CodecVersionError):
@@ -82,13 +74,6 @@ class TestVersionGate:
 
     def test_version_error_is_a_codec_error(self):
         assert issubclass(CodecVersionError, CodecError)
-
-    def test_signed_kind_under_version_1_rejected(self):
-        # A well-framed v1 header must never smuggle in the signed kind.
-        wire = bytearray(codec.encode(1, _signed_ball()))
-        wire[2] = 1
-        with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
 
 
 class TestHostileBytes:
@@ -227,8 +212,8 @@ class TestSyncKindFuzz:
         assert decoded == message
 
 
-class TestV1V2Differential:
-    """Differential fuzz: the v2 unsigned path must match v1 exactly.
+class TestPlainVsSignedDifferential:
+    """Differential fuzz: an all-unsigned signed ball must match a plain one.
 
     A :class:`SignedBall` whose signatures are all ``None`` carries the
     same information as a plain ball — for any randomly generated entry
@@ -263,21 +248,21 @@ class TestV1V2Differential:
             entries.append(BallEntry(event, ttl=rng.randrange(0, 64)))
         return make_ball(entries)
 
-    def test_random_balls_round_trip_identically_via_v1_and_v2(self):
+    def test_random_balls_round_trip_identically_plain_and_signed(self):
         rng = random.Random(0xD1FF)
         for _ in range(200):
             ball = self._random_ball(rng)
             sender = rng.randrange(2**20)
-            v1_wire = codec.encode(sender, ball)
-            v2_wire = codec.encode(
+            plain_wire = codec.encode(sender, ball)
+            signed_wire = codec.encode(
                 sender,
                 SignedBall(entries=ball, signatures=(None,) * len(ball)),
             )
-            assert v1_wire[2] == 1 and v2_wire[2] == 2
-            v1_sender, v1_ball = codec.decode(v1_wire)
-            v2_sender, v2_ball = codec.decode(v2_wire)
-            assert v1_sender == v2_sender == sender
-            assert isinstance(v2_ball, SignedBall)
-            assert v1_ball == ball
-            assert v2_ball.entries == ball
-            assert all(sig is None for sig in v2_ball.signatures)
+            assert plain_wire[3] == 1 and signed_wire[3] == 7
+            plain_sender, plain_ball = codec.decode(plain_wire)
+            signed_sender, signed_ball = codec.decode(signed_wire)
+            assert plain_sender == signed_sender == sender
+            assert isinstance(signed_ball, SignedBall)
+            assert plain_ball == ball
+            assert signed_ball.entries == ball
+            assert all(sig is None for sig in signed_ball.signatures)

@@ -1,11 +1,10 @@
-"""Unit tests for the flat engine, its recording modes, and sharding.
+"""Unit tests for the flat engine and its recording modes.
 
 Equivalence with the object engine lives in
 ``tests/sim/test_flat_equivalence.py``; this file pins down the flat
 stack's own contracts — calendar semantics, the explicit feature
-restrictions, the two recording modes, ``as_collector`` parity with the
-metrics checkers, and the lockstep sharded driver (in-process and via
-``multiprocessing``).
+restrictions, the two recording modes, and ``as_collector`` parity
+with the metrics checkers.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.errors import MembershipError, SimulationError
 from repro.metrics import check_run
 from repro.sim import ClusterConfig, FixedLatency, NoDrift, UniformDrift
 from repro.sim.flat import FlatCluster, FlatEngine, FlatNetwork
-from repro.sim.shard import ShardedSimulation
 
 
 def _config(
@@ -194,106 +192,3 @@ def test_as_collector_passes_table1_checks():
     report = check_run(collector)
     assert report.safety_ok, report.summary()
 
-
-# ----------------------------------------------------------------------
-# Sharded lockstep driver
-# ----------------------------------------------------------------------
-
-_SHARD_N = 48
-_SHARD_ROUNDS = 30
-_SHARD_PLAN = [
-    (1, 0, "a"),
-    (1, 17, "b"),
-    (2, 40, "c"),
-    (3, 17, "d"),
-    (4, 5, None),
-    (5, 33, "e"),
-]
-
-
-def _shard_config(clock: str = "global") -> ClusterConfig:
-    return ClusterConfig(
-        epto=EpToConfig(fanout=5, ttl=7, round_interval=20, clock=clock),
-        drift=NoDrift(),
-    )
-
-
-def _reference_flat(clock: str = "global"):
-    config = _shard_config(clock)
-    sim = FlatEngine(seed=5)
-    net = FlatNetwork(sim, latency=FixedLatency(3))
-    cluster = FlatCluster(sim, net, config)
-    interval = config.epto.round_interval
-    for r, node, payload in _SHARD_PLAN:
-        sim.schedule_at(
-            r * interval,
-            lambda nd=node, p=payload: cluster.broadcast_from(nd, p),
-        )
-    cluster.add_nodes(_SHARD_N)
-    sim.run(until=_SHARD_ROUNDS * interval)
-    return cluster
-
-
-@pytest.mark.parametrize("clock", ["global", "logical"])
-@pytest.mark.parametrize("shards", [1, 3])
-def test_sharded_inline_matches_flat_reference(clock, shards):
-    reference = _reference_flat(clock)
-    sharded = ShardedSimulation(
-        _SHARD_N, _shard_config(clock), seed=5, latency=3, shards=shards
-    )
-    result = sharded.run(_SHARD_ROUNDS, _SHARD_PLAN)
-    assert result.sequences == reference.sequences()
-    assert sorted(result.delays) == sorted(reference.delivery_delays())
-    assert result.sent == reference.network.stats.sent
-    assert result.delivered == reference.network.stats.delivered
-
-
-def test_sharded_processes_matches_inline():
-    inline = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=4
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN, processes=0)
-    procs = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=4
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN, processes=2)
-    assert procs.sequences == inline.sequences
-    assert (procs.sent, procs.delivered) == (inline.sent, inline.delivered)
-
-
-def test_sharded_stats_mode_merges_counts_and_hashes():
-    full = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=3
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN)
-    stats = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=3, record="stats"
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN)
-    assert stats.counts == {n: len(s) for n, s in full.sequences.items()}
-    assert sorted(stats.delays) == sorted(full.delays)
-
-
-def test_sharded_rejects_lockstep_unsafe_configs():
-    good = _shard_config()
-    with pytest.raises(MembershipError):
-        ShardedSimulation(
-            16,
-            ClusterConfig(
-                epto=good.epto, drift=NoDrift(), round_phase="staggered"
-            ),
-        )
-    with pytest.raises(MembershipError):
-        ShardedSimulation(
-            16, ClusterConfig(epto=good.epto, drift=UniformDrift(0.01))
-        )
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, latency=good.epto.round_interval)
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, latency=0)
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, shards=17)
-
-
-def test_sharded_rejects_out_of_window_broadcasts():
-    sharded = ShardedSimulation(16, _shard_config(), shards=2)
-    with pytest.raises(MembershipError):
-        sharded.run(5, [(0, 3, None)])
-    with pytest.raises(MembershipError):
-        sharded.run(5, [(6, 3, None)])
